@@ -59,8 +59,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/update_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test
 tier_end "tier 3 tsan"
 
-tier_begin "tier 4: smoke benches + JSON export + benchdiff gate (E20..E25)"
+tier_begin "tier 4: smoke benches + JSON export + benchdiff gate (E1, E20..E25)"
 cmake --build build -j "${jobs}" --target benchdiff
+# E1 (CN enumeration) prints its table in well under a second; the
+# filter skips its google-benchmark timers.
+./build/bench/bench_cn_generation --benchmark_filter=none \
+  --json=bench-out/E1.json
 ./build/bench/bench_postings --smoke --json=bench-out/E20.json
 ./build/bench/bench_cn_parallel --smoke --json=bench-out/E21.json
 ./build/bench/bench_trace --smoke --json=bench-out/E22.json
@@ -68,8 +72,9 @@ cmake --build build -j "${jobs}" --target benchdiff
 ./build/bench/bench_updates --smoke --json=bench-out/E24.json
 ./build/bench/bench_obs --smoke --json=bench-out/E25.json
 # Every export must exist and parse as a bench JSON document.
-for f in bench-out/E20.json bench-out/E21.json bench-out/E22.json \
-         bench-out/E23.json bench-out/E24.json bench-out/E25.json; do
+for f in bench-out/E1.json bench-out/E20.json bench-out/E21.json \
+         bench-out/E22.json bench-out/E23.json bench-out/E24.json \
+         bench-out/E25.json; do
   [ -s "$f" ] || { echo "missing bench JSON: $f"; exit 1; }
   ./build/tools/benchdiff --check "$f"
 done
@@ -77,7 +82,7 @@ done
 # timings are noisy, so the ratio band is generous — a real regression
 # is an order-of-magnitude event, not a 2x one. Refresh workflow: rerun
 # the smoke benches and copy bench-out/E*.json over bench/baselines/.
-for f in E20 E21 E22 E23 E24 E25; do
+for f in E1 E20 E21 E22 E23 E24 E25; do
   ./build/tools/benchdiff --tolerance=5.0 \
     "bench/baselines/${f}.json" "bench-out/${f}.json"
 done

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 
 namespace kws::analyze {
 
@@ -13,26 +14,18 @@ using xml::XmlTree;
 double XBridgeResultScore(const XmlTree& tree, XmlNodeId root,
                           const std::vector<std::string>& keywords,
                           double avg_depth) {
-  const XmlNodeId end = tree.SubtreeEnd(root);
   double content = 0;
   // Nodes on root->match paths; shared segments counted once (slide 160).
   std::set<XmlNodeId> path_nodes;
   for (const std::string& k : keywords) {
-    const std::vector<XmlNodeId>& matches = tree.MatchNodes(k);
     // ief = N / #nodes containing the token (slide 158).
     const double ief =
         static_cast<double>(tree.size()) /
-        std::max<size_t>(matches.size(), 1);
-    XmlNodeId chosen = xml::kNoXmlNode;
-    for (XmlNodeId m : matches) {
-      if (m >= root && m <= end) {
-        chosen = m;
-        break;
-      }
-    }
-    if (chosen == xml::kNoXmlNode) continue;
+        std::max<size_t>(tree.MatchNodes(k).size(), 1);
+    const std::span<const XmlNodeId> inside = tree.MatchesInSubtree(k, root);
+    if (inside.empty()) continue;
     content += std::log(ief);
-    XmlNodeId cur = chosen;
+    XmlNodeId cur = inside.front();
     while (cur != root) {
       path_nodes.insert(cur);
       cur = tree.parent(cur);
@@ -48,10 +41,7 @@ double XBridgeResultScore(const XmlTree& tree, XmlNodeId root,
 std::vector<ResultCluster> ClusterByContext(
     const XmlTree& tree, const std::vector<XmlNodeId>& results,
     const std::vector<std::string>& keywords) {
-  // Average depth for the proximity discount.
-  double avg_depth = 0;
-  for (XmlNodeId n = 0; n < tree.size(); ++n) avg_depth += tree.depth(n);
-  avg_depth /= std::max<size_t>(tree.size(), 1);
+  const double avg_depth = tree.AverageDepth();
 
   std::map<std::string, ResultCluster> by_path;
   std::map<std::string, std::vector<double>> scores;
@@ -91,21 +81,13 @@ std::vector<ResultCluster> ClusterByKeywordRoles(
     const std::vector<std::string>& keywords) {
   std::map<std::string, ResultCluster> by_role;
   for (XmlNodeId r : results) {
-    const XmlNodeId end = tree.SubtreeEnd(r);
     // Role signature: for each keyword, the tag of its first match node
     // within the result (the role the keyword plays).
     std::string signature;
     for (const std::string& k : keywords) {
       signature += k + "@";
-      bool found = false;
-      for (XmlNodeId m : tree.MatchNodes(k)) {
-        if (m >= r && m <= end) {
-          signature += tree.tag(m);
-          found = true;
-          break;
-        }
-      }
-      if (!found) signature += "-";
+      const std::span<const XmlNodeId> inside = tree.MatchesInSubtree(k, r);
+      signature += inside.empty() ? "-" : tree.tag(inside.front());
       signature += " ";
     }
     ResultCluster& c = by_role[signature];
@@ -134,15 +116,13 @@ std::vector<ResultCluster> SplitClusterByContext(
   // parent inside the result.
   std::map<std::string, ResultCluster> by_context;
   for (XmlNodeId r : cluster.results) {
-    const XmlNodeId end = tree.SubtreeEnd(r);
     std::string signature;
     for (const std::string& k : keywords) {
-      for (XmlNodeId m : tree.MatchNodes(k)) {
-        if (m < r || m > end) continue;
-        const XmlNodeId ctx = m == 0 ? 0 : tree.parent(m);
-        signature += k + "@" + tree.LabelPath(ctx) + " ";
-        break;
-      }
+      const std::span<const XmlNodeId> inside = tree.MatchesInSubtree(k, r);
+      if (inside.empty()) continue;
+      const XmlNodeId m = inside.front();
+      const XmlNodeId ctx = m == 0 ? 0 : tree.parent(m);
+      signature += k + "@" + tree.LabelPath(ctx) + " ";
     }
     ResultCluster& c = by_context[signature];
     c.label = signature;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 
 #include "text/tokenizer.h"
 
@@ -40,12 +41,9 @@ std::vector<SnippetItem> GenerateSnippet(const XmlTree& tree,
   }
   // 2. One match node per query keyword — query bias.
   for (const std::string& k : keywords) {
-    for (XmlNodeId m : tree.MatchNodes(k)) {
-      if (m >= result_root && m <= end) {
-        add(m, SnippetItem::Reason::kKeyword);
-        break;
-      }
-    }
+    const std::span<const XmlNodeId> inside =
+        tree.MatchesInSubtree(k, result_root);
+    if (!inside.empty()) add(inside.front(), SnippetItem::Reason::kKeyword);
   }
   // 3. Dominant features: the most frequent (tag, text) pairs among the
   //    result's descendants — informativeness.

@@ -1,8 +1,9 @@
 #include "core/cn/candidate_network.h"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
-#include <unordered_set>
+#include <numeric>
 
 namespace kws::cn {
 
@@ -70,9 +71,10 @@ std::vector<size_t> NodeDegrees(const CandidateNetwork& cn) {
 
 /// A CN is a final answer template when all keywords are covered, every
 /// leaf is a keyword node, and every leaf's mask is necessary.
-bool IsValidFinal(const CandidateNetwork& cn, KeywordMask full_mask) {
+/// `deg` is NodeDegrees(cn).
+bool IsValidFinal(const CandidateNetwork& cn, const std::vector<size_t>& deg,
+                  KeywordMask full_mask) {
   if (cn.Coverage() != full_mask) return false;
-  const std::vector<size_t> deg = NodeDegrees(cn);
   for (uint32_t i = 0; i < cn.nodes.size(); ++i) {
     const bool leaf = (cn.nodes.size() == 1) || deg[i] == 1;
     if (!leaf) continue;
@@ -84,6 +86,22 @@ bool IsValidFinal(const CandidateNetwork& cn, KeywordMask full_mask) {
     if ((others | cn.nodes[i].mask) == others) return false;  // redundant leaf
   }
   return true;
+}
+
+/// Leaves that are free tuple sets. A single node counts as a leaf.
+size_t FreeLeaves(const CandidateNetwork& cn,
+                  const std::vector<size_t>& deg) {
+  size_t n = 0;
+  for (uint32_t i = 0; i < cn.nodes.size(); ++i) {
+    if (cn.nodes[i].free() && (cn.nodes.size() == 1 || deg[i] == 1)) ++n;
+  }
+  return n;
+}
+
+void AppendU32(std::string* key, uint32_t v) {
+  char buf[sizeof(v)];
+  std::memcpy(buf, &v, sizeof(v));
+  key->append(buf, sizeof(v));
 }
 
 /// All nonzero submasks of `mask`, smallest first.
@@ -116,6 +134,65 @@ std::string CandidateNetwork::RootedKey(uint32_t root,
                                         uint32_t parent) const {
   const auto adj = BuildAdjacency(*this);
   return EncodeRooted(*this, adj, root, parent);
+}
+
+uint32_t CnShapeCoder::Rooted(const CandidateNetwork& cn, uint32_t node,
+                              uint32_t parent) {
+  // The children's entries stack above `base` on the shared scratch; each
+  // recursive call restores the stack before returning.
+  const size_t base = entries_.size();
+  for (const Adj& a : adj_[node]) {
+    if (a.neighbor == parent) continue;
+    const uint32_t child = Rooted(cn, a.neighbor, node);
+    entries_.push_back(Entry{a.fk, a.child_referencing, child});
+  }
+  std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(base),
+            entries_.end());
+  key_.clear();
+  AppendU32(&key_, cn.nodes[node].table);
+  AppendU32(&key_, cn.nodes[node].mask);
+  for (size_t i = base; i < entries_.size(); ++i) {
+    AppendU32(&key_, entries_[i].fk);
+    AppendU32(&key_, entries_[i].child_referencing);
+    AppendU32(&key_, entries_[i].code);
+  }
+  entries_.resize(base);
+  return codes_.try_emplace(key_, static_cast<uint32_t>(codes_.size()))
+      .first->second;
+}
+
+uint32_t CnShapeCoder::Code(const CandidateNetwork& cn) {
+  const uint32_t n = static_cast<uint32_t>(cn.nodes.size());
+  if (adj_.size() < n) adj_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) adj_[i].clear();
+  degree_.assign(n, 0);
+  for (const CnEdge& e : cn.edges) {
+    adj_[e.from].push_back(Adj{e.to, e.fk, e.forward ? 0u : 1u});
+    adj_[e.to].push_back(Adj{e.from, e.fk, e.forward ? 1u : 0u});
+    ++degree_[e.from];
+    ++degree_[e.to];
+  }
+  // Centre(s): peel leaf layers until one or two nodes remain.
+  layer_.clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    if (degree_[i] <= 1) layer_.push_back(i);
+  }
+  uint32_t remaining = n;
+  while (remaining > 2) {
+    remaining -= static_cast<uint32_t>(layer_.size());
+    next_layer_.clear();
+    for (uint32_t leaf : layer_) {
+      for (const Adj& a : adj_[leaf]) {
+        if (--degree_[a.neighbor] == 1) next_layer_.push_back(a.neighbor);
+      }
+    }
+    layer_.swap(next_layer_);
+  }
+  uint32_t code = Rooted(cn, layer_[0], UINT32_MAX);
+  if (layer_.size() == 2) {
+    code = std::min(code, Rooted(cn, layer_[1], UINT32_MAX));
+  }
+  return code;
 }
 
 std::string CandidateNetwork::ToString(
@@ -151,8 +228,20 @@ std::vector<CandidateNetwork> EnumerateCandidateNetworks(
   std::vector<CandidateNetwork> result;
   if (full_mask == 0) return result;
   trace::TraceSpan span(options.tracer, "cn.enumerate");
-  std::unordered_set<std::string> seen;
-  std::unordered_set<std::string> emitted;
+  // Candidates are deduplicated on their shape codes. Every isomorphism
+  // class is enqueued once, so whatever is popped is new and a valid pop
+  // is emitted without a second set.
+  CnShapeCoder coder;
+  std::vector<char> seen;
+  size_t candidates_seen = 0;
+  const auto first_sight = [&](const CandidateNetwork& cn) {
+    const uint32_t code = coder.Code(cn);
+    if (seen.size() < coder.size()) seen.resize(coder.size(), 0);
+    if (seen[code]) return false;
+    seen[code] = 1;
+    ++candidates_seen;
+    return true;
+  };
   std::deque<CandidateNetwork> queue;
 
   // Seeds: every single keyword node.
@@ -160,10 +249,20 @@ std::vector<CandidateNetwork> EnumerateCandidateNetworks(
     for (KeywordMask m : Submasks(table_masks[t] & full_mask)) {
       CandidateNetwork cn;
       cn.nodes.push_back(CnNode{t, m});
-      if (seen.insert(cn.CanonicalKey()).second) queue.push_back(cn);
+      if (first_sight(cn)) queue.push_back(std::move(cn));
     }
   }
   span.AddCounter("seeds", queue.size());
+
+  // Masks a node attached to table t may carry: free first, then the
+  // nonzero submasks.
+  std::vector<std::vector<KeywordMask>> attach_masks(db.num_tables());
+  for (relational::TableId t = 0; t < db.num_tables(); ++t) {
+    attach_masks[t].push_back(0);
+    for (KeywordMask m : Submasks(table_masks[t] & full_mask)) {
+      attach_masks[t].push_back(m);
+    }
+  }
 
   uint64_t expansions = 0;
   DeadlineChecker checker(options.deadline);
@@ -176,43 +275,58 @@ std::vector<CandidateNetwork> EnumerateCandidateNetworks(
     ++expansions;
     CandidateNetwork cn = std::move(queue.front());
     queue.pop_front();
-    if (IsValidFinal(cn, full_mask)) {
-      if (emitted.insert(cn.CanonicalKey()).second) result.push_back(cn);
-    }
+    const std::vector<size_t> deg = NodeDegrees(cn);
+    if (IsValidFinal(cn, deg, full_mask)) result.push_back(cn);
     if (cn.size() >= options.max_size) continue;
-    // Expand: attach one new node to any existing node via a schema edge.
-    for (uint32_t i = 0; i < cn.nodes.size(); ++i) {
+    const size_t free_leaves = FreeLeaves(cn, deg);
+    // Expand: attach one new node to any existing node via a schema edge,
+    // growing `cn` in place and copying only the candidates kept.
+    const uint32_t j = static_cast<uint32_t>(cn.nodes.size());
+    for (uint32_t i = 0; i < j; ++i) {
+      // Attaching to a free leaf makes it interior.
+      const size_t kept_free =
+          free_leaves - (cn.nodes[i].free() && deg[i] == 1 ? 1 : 0);
       for (const relational::SchemaEdge& se :
            db.SchemaNeighbors(cn.nodes[i].table)) {
         // FK-uniqueness: the referencing endpoint of this new edge must
         // not already use this FK.
         if (se.forward && UsesFkAsReferencing(cn, i, se.fk)) continue;
-        std::vector<KeywordMask> masks = {0};
-        for (KeywordMask m : Submasks(table_masks[se.other] & full_mask)) {
-          masks.push_back(m);
-        }
-        for (KeywordMask m : masks) {
-          CandidateNetwork next = cn;
-          const uint32_t j = static_cast<uint32_t>(next.nodes.size());
-          next.nodes.push_back(CnNode{se.other, m});
-          next.edges.push_back(CnEdge{i, j, se.fk, se.forward});
-          if (seen.insert(next.CanonicalKey()).second) {
-            queue.push_back(std::move(next));
+        for (KeywordMask m : attach_masks[se.other]) {
+          // Free-leaf prune: size + free leaves never shrinks as nodes
+          // are added and is 0 + size for a valid CN, so past the bound
+          // no extension of this candidate is valid.
+          if (j + 1 + kept_free + (m == 0 ? 1 : 0) > options.max_size) {
+            continue;
           }
+          cn.nodes.push_back(CnNode{se.other, m});
+          cn.edges.push_back(CnEdge{i, j, se.fk, se.forward});
+          if (first_sight(cn)) queue.push_back(cn);
+          cn.nodes.pop_back();
+          cn.edges.pop_back();
         }
       }
     }
   }
-  // Order by size then canonical key for deterministic output.
-  std::sort(result.begin(), result.end(),
-            [](const CandidateNetwork& a, const CandidateNetwork& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a.CanonicalKey() < b.CanonicalKey();
-            });
+  // Order by size then canonical key for deterministic output; each key
+  // is built once, not per comparison.
+  std::vector<std::string> keys;
+  keys.reserve(result.size());
+  for (const CandidateNetwork& cn : result) keys.push_back(cn.CanonicalKey());
+  std::vector<size_t> order(result.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (result[a].size() != result[b].size()) {
+      return result[a].size() < result[b].size();
+    }
+    return keys[a] < keys[b];
+  });
+  std::vector<CandidateNetwork> sorted;
+  sorted.reserve(result.size());
+  for (size_t i : order) sorted.push_back(std::move(result[i]));
   span.AddCounter("expansions", expansions);
-  span.AddCounter("candidates_seen", seen.size());
-  span.AddCounter("cns", result.size());
-  return result;
+  span.AddCounter("candidates_seen", candidates_seen);
+  span.AddCounter("cns", sorted.size());
+  return sorted;
 }
 
 }  // namespace kws::cn

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/deadline.h"
@@ -62,6 +63,54 @@ struct CandidateNetwork {
                        const std::vector<std::string>& keywords) const;
 };
 
+/// Interns candidate-network shapes as small integers (AHU-style tree
+/// codes). Every rooted subtree gets the code of its label (table, mask)
+/// plus the sorted list of its (fk, direction, child code) entries, so two
+/// rooted subtrees share a code iff they are isomorphic. `Code` keys an
+/// unrooted CN by the smaller code at its tree centre(s): equal codes <=>
+/// equal `CanonicalKey()` strings. Codes are dense (0, 1, 2, ...) and only
+/// comparable within one coder, which is why enumeration builds one per
+/// call.
+class CnShapeCoder {
+ public:
+  /// The isomorphism-invariant code of `cn` (which must be a tree).
+  uint32_t Code(const CandidateNetwork& cn);
+
+  /// Number of distinct rooted shapes interned so far; every code
+  /// returned is below it.
+  size_t size() const { return codes_.size(); }
+
+ private:
+  struct Adj {
+    uint32_t neighbor;
+    uint32_t fk;
+    uint32_t child_referencing;
+  };
+  struct Entry {
+    uint32_t fk;
+    uint32_t child_referencing;
+    uint32_t code;
+    bool operator<(const Entry& o) const {
+      if (fk != o.fk) return fk < o.fk;
+      if (child_referencing != o.child_referencing) {
+        return child_referencing < o.child_referencing;
+      }
+      return code < o.code;
+    }
+  };
+
+  uint32_t Rooted(const CandidateNetwork& cn, uint32_t node, uint32_t parent);
+
+  std::unordered_map<std::string, uint32_t> codes_;
+  // Scratch reused across calls so a probe allocates nothing.
+  std::vector<std::vector<Adj>> adj_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> degree_;
+  std::vector<uint32_t> layer_;
+  std::vector<uint32_t> next_layer_;
+  std::string key_;
+};
+
 /// Options for CN enumeration.
 struct CnEnumOptions {
   /// Maximum number of nodes in a CN (DISCOVER's Tmax).
@@ -75,7 +124,8 @@ struct CnEnumOptions {
 };
 
 /// Enumerates all valid candidate networks, duplicate-free, breadth-first
-/// by size (Hristidis et al., VLDB 02; tutorial slide 115).
+/// by size (Hristidis et al., VLDB 02; tutorial slide 115). Output is
+/// ordered by size, then `CanonicalKey()`.
 ///
 /// `table_masks[t]` gives the keywords that table `t` can match (a node
 /// (t, K) is only considered when K is a subset); pass all-ones for pure
@@ -83,6 +133,11 @@ struct CnEnumOptions {
 /// is a non-free node whose mask is necessary (minimality), and no node
 /// uses the same foreign key twice from its referencing side (such joins
 /// would force a duplicate tuple in every result).
+///
+/// Candidates are deduplicated on `CnShapeCoder` codes, and a candidate
+/// whose size plus free-leaf count exceeds `max_size` is dropped: each
+/// added node turns at most one free leaf interior, so neither it nor any
+/// extension can become valid within the bound.
 std::vector<CandidateNetwork> EnumerateCandidateNetworks(
     const relational::Database& db, const std::vector<KeywordMask>& table_masks,
     KeywordMask full_mask, const CnEnumOptions& options = {});

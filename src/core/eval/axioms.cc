@@ -33,17 +33,9 @@ std::vector<AxiomViolation> CheckQueryAxioms(
             std::to_string(after.size()) + " after adding '" + extra + "'"});
   }
   const std::set<XmlNodeId> old_set(before.begin(), before.end());
-  const std::vector<XmlNodeId>& matches = tree.MatchNodes(extra);
   for (XmlNodeId n : after) {
     if (old_set.count(n) > 0) continue;
-    bool contains_extra = false;
-    for (XmlNodeId m : matches) {
-      if (m >= n && m <= tree.SubtreeEnd(n)) {
-        contains_extra = true;
-        break;
-      }
-    }
-    if (!contains_extra) {
+    if (tree.MatchesInSubtree(extra, n).empty()) {
       out.push_back(AxiomViolation{
           "query-consistency",
           "new result " + tree.LabelPath(n) + " (#" + std::to_string(n) +

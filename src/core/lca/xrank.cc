@@ -50,12 +50,10 @@ std::vector<ScoredXmlResult> RankXmlResults(
   std::vector<ScoredXmlResult> out;
   out.reserve(results.size());
   for (XmlNodeId root : results) {
-    const XmlNodeId end = tree.SubtreeEnd(root);
     double score = 0;
     for (const std::string& k : keywords) {
       double best = 0;
-      for (XmlNodeId m : tree.MatchNodes(k)) {
-        if (m < root || m > end) continue;
+      for (XmlNodeId m : tree.MatchesInSubtree(k, root)) {
         const double hops =
             static_cast<double>(tree.depth(m) - tree.depth(root));
         best = std::max(best,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
+#include <shared_mutex>
 
 #include "text/tokenizer.h"
 
@@ -42,9 +44,18 @@ std::vector<DatabaseScore> DatabaseSelector::Rank(
     // Relationship: keyword pairs with some match of one within
     // max_distance of some match of the other.
     double relationship = 0;
-    for (size_t i = 0; i < keywords.size(); ++i) {
-      entry->index->IndexTerm(keywords[i]);
+    bool all_indexed = true;
+    {
+      std::shared_lock<std::shared_mutex> lock(entry->mu);
+      for (const std::string& k : keywords) {
+        all_indexed = all_indexed && entry->index->HasTerm(k);
+      }
     }
+    if (!all_indexed) {
+      std::unique_lock<std::shared_mutex> lock(entry->mu);
+      for (const std::string& k : keywords) entry->index->IndexTerm(k);
+    }
+    std::shared_lock<std::shared_mutex> lock(entry->mu);
     for (size_t i = 0; i < keywords.size(); ++i) {
       for (size_t j = i + 1; j < keywords.size(); ++j) {
         bool related = false;

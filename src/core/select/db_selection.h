@@ -2,6 +2,7 @@
 #define KWDB_CORE_SELECT_DB_SELECTION_H_
 
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,9 @@ class DatabaseSelector {
   /// graph and distance machinery.
   void AddDatabase(const std::string& name, const relational::Database* db);
 
-  /// Ranks all registered databases for `query`, best first.
+  /// Ranks all registered databases for `query`, best first. Safe to call
+  /// from concurrent threads: the per-database distance index is filled
+  /// lazily, the first time a keyword is seen, under that database's lock.
   std::vector<DatabaseScore> Rank(const std::string& query) const;
 
   size_t num_databases() const { return entries_.size(); }
@@ -71,6 +74,9 @@ class DatabaseSelector {
     std::string name;
     const relational::Database* db = nullptr;
     graph::RelationalGraph graph;
+    /// Guards `index`: shared to read distances, exclusive to index a
+    /// keyword not seen before.
+    std::shared_mutex mu;  // kwslint: allow(mutex-style) -- struct member
     std::unique_ptr<graph::KeywordDistanceIndex> index;
   };
 

@@ -5,11 +5,9 @@ namespace kws::xml {
 PathStatistics ComputePathStatistics(const XmlTree& tree) {
   PathStatistics stats;
   stats.total_elements = tree.size();
-  double depth_sum = 0;
   for (XmlNodeId n = 0; n < tree.size(); ++n) {
     const std::string path = tree.LabelPath(n);
     ++stats.path_count[path];
-    depth_sum += tree.depth(n);
     // Repeatability: count same-tag children under this parent.
     std::unordered_map<std::string, size_t> tag_counts;
     for (XmlNodeId c : tree.children(n)) ++tag_counts[tree.tag(c)];
@@ -19,8 +17,7 @@ PathStatistics ComputePathStatistics(const XmlTree& tree) {
       repeatable = repeatable || (count > 1);
     }
   }
-  stats.avg_depth =
-      tree.size() == 0 ? 0 : depth_sum / static_cast<double>(tree.size());
+  stats.avg_depth = tree.AverageDepth();
   return stats;
 }
 

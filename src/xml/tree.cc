@@ -43,6 +43,7 @@ XmlNodeId XmlTree::AddElement(XmlNodeId parent, std::string tag) {
     KWS_DCHECK_SORTED_APPEND(children_[parent], id);
     children_[parent].push_back(id);
   }
+  depth_sum_ += depths_.back();
   return id;
 }
 
@@ -114,6 +115,16 @@ const std::vector<XmlNodeId>& XmlTree::MatchNodes(
     std::string_view term) const {
   auto it = keyword_index_.find(term);
   return it == keyword_index_.end() ? empty_ : it->second;
+}
+
+std::span<const XmlNodeId> XmlTree::MatchesInSubtree(
+    std::string_view term, XmlNodeId root) const {
+  const std::vector<XmlNodeId>& matches = MatchNodes(term);
+  if (matches.empty()) return {};
+  const auto first = std::lower_bound(matches.begin(), matches.end(), root);
+  const auto last =
+      std::upper_bound(first, matches.end(), subtree_end_[root]);
+  return {first, last};
 }
 
 const std::vector<XmlNodeId>& XmlTree::TagNodes(std::string_view tag) const {

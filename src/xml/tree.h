@@ -2,6 +2,7 @@
 #define KWDB_XML_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -72,6 +73,21 @@ class XmlTree {
   /// Heterogeneous lookup: no string is materialized for the probe.
   const std::vector<XmlNodeId>& MatchNodes(std::string_view term) const;
 
+  /// The nodes of MatchNodes(term) inside subtree(`root`), in document
+  /// order: a binary search for the id range [root, SubtreeEnd(root)],
+  /// so the cost follows the matches in the subtree, not the whole list.
+  /// Valid after BuildKeywordIndex().
+  std::span<const XmlNodeId> MatchesInSubtree(std::string_view term,
+                                              XmlNodeId root) const;
+
+  /// Average node depth (the root has depth 0; 0 for an empty tree).
+  /// Kept as a running sum by AddElement, so it costs O(1).
+  double AverageDepth() const {
+    return tags_.empty() ? 0
+                         : static_cast<double>(depth_sum_) /
+                               static_cast<double>(tags_.size());
+  }
+
   /// Nodes whose tag is exactly `tag`; sorted in document order.
   /// Maintained incrementally by AddElement (preorder ids ascend), so it
   /// is available before BuildKeywordIndex. This is what lets query
@@ -99,6 +115,7 @@ class XmlTree {
   std::vector<XmlNodeId> parents_;
   std::vector<std::vector<XmlNodeId>> children_;
   std::vector<uint32_t> depths_;
+  uint64_t depth_sum_ = 0;
   std::vector<Dewey> deweys_;
   std::unordered_map<std::string, std::vector<XmlNodeId>, StringHash,
                      std::equal_to<>>

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "core/analyze/ranking.h"
 #include "core/analyze/snippet.h"
 #include "core/lca/slca.h"
+#include "core/lca/xrank.h"
 #include "core/steiner/banks.h"
 #include "graph/pagerank.h"
 #include "relational/shop.h"
@@ -319,6 +323,143 @@ TEST(DifferentiationTest, StrongLocalOptimalBeatsOrMatchesWeak) {
 
 namespace kws::analyze {
 namespace {
+
+// ------------------------------------- subtree-bounded scans vs full scans
+
+/// XRank result scoring as a full scan of every match list per root.
+std::vector<lca::ScoredXmlResult> LinearScanRank(
+    const xml::XmlTree& tree, const std::vector<XmlNodeId>& results,
+    const std::vector<std::string>& keywords,
+    const std::vector<double>& elem_rank) {
+  const double decay = lca::XRankOptions().decay;
+  std::vector<lca::ScoredXmlResult> out;
+  for (XmlNodeId root : results) {
+    const XmlNodeId end = tree.SubtreeEnd(root);
+    double score = 0;
+    for (const std::string& k : keywords) {
+      double best = 0;
+      for (XmlNodeId m : tree.MatchNodes(k)) {
+        if (m < root || m > end) continue;
+        const double hops =
+            static_cast<double>(tree.depth(m) - tree.depth(root));
+        best = std::max(best, elem_rank[m] * std::pow(decay, hops));
+      }
+      score += best;
+    }
+    out.push_back(lca::ScoredXmlResult{root, score});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const lca::ScoredXmlResult& a, const lca::ScoredXmlResult& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.root < b.root;
+            });
+  return out;
+}
+
+/// XBridge context clustering with a full match-list scan per result and
+/// the average depth summed over every node.
+std::vector<ResultCluster> LinearScanClusterByContext(
+    const xml::XmlTree& tree, const std::vector<XmlNodeId>& results,
+    const std::vector<std::string>& keywords) {
+  double avg_depth = 0;
+  for (XmlNodeId n = 0; n < tree.size(); ++n) avg_depth += tree.depth(n);
+  avg_depth /= std::max<size_t>(tree.size(), 1);
+  const auto result_score = [&](XmlNodeId root) {
+    const XmlNodeId end = tree.SubtreeEnd(root);
+    double content = 0;
+    std::set<XmlNodeId> path_nodes;
+    for (const std::string& k : keywords) {
+      const std::vector<XmlNodeId>& matches = tree.MatchNodes(k);
+      const double ief = static_cast<double>(tree.size()) /
+                         std::max<size_t>(matches.size(), 1);
+      XmlNodeId chosen = xml::kNoXmlNode;
+      for (XmlNodeId m : matches) {
+        if (m >= root && m <= end) {
+          chosen = m;
+          break;
+        }
+      }
+      if (chosen == xml::kNoXmlNode) continue;
+      content += std::log(ief);
+      for (XmlNodeId cur = chosen; cur != root; cur = tree.parent(cur)) {
+        path_nodes.insert(cur);
+      }
+    }
+    double dist = static_cast<double>(path_nodes.size());
+    if (dist > avg_depth) dist = avg_depth + (dist - avg_depth) * 0.5;
+    return content - dist;
+  };
+  std::map<std::string, ResultCluster> by_path;
+  std::map<std::string, std::vector<double>> scores;
+  for (XmlNodeId r : results) {
+    const std::string path = tree.LabelPath(r);
+    by_path[path].label = path;
+    by_path[path].results.push_back(r);
+    scores[path].push_back(result_score(r));
+  }
+  const double avg_size =
+      by_path.empty() ? 0
+                      : static_cast<double>(results.size()) /
+                            static_cast<double>(by_path.size());
+  std::vector<ResultCluster> out;
+  for (auto& [path, cluster] : by_path) {
+    std::vector<double>& s = scores[path];
+    std::sort(s.rbegin(), s.rend());
+    const size_t r = std::min<size_t>(
+        s.size(), static_cast<size_t>(std::max(avg_size, 1.0)));
+    for (size_t i = 0; i < r; ++i) cluster.score += s[i];
+    out.push_back(std::move(cluster));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ResultCluster& a, const ResultCluster& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.label < b.label;
+            });
+  return out;
+}
+
+TEST(SubtreeScanOracleTest, RankAndContextClustersMatchFullScans) {
+  const xml::BibDocument doc = xml::MakeBibDocument(
+      {.seed = 23, .num_venues = 12, .papers_per_venue = 8});
+  const xml::XmlTree& tree = doc.tree;
+  const std::vector<double> elem_rank = lca::ElemRank(tree);
+  size_t checked = 0;
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t j = i + 1; j < 6; ++j) {
+      const std::vector<std::string> keywords = {doc.vocabulary[i],
+                                                 doc.vocabulary[j]};
+      const auto lists = lca::MatchLists(tree, keywords);
+      if (lists.empty()) continue;
+      // SLCA anchors, plus every ancestor of one so that wide subtrees
+      // (venues, the document root) are covered as well.
+      std::vector<XmlNodeId> anchors = lca::SlcaBruteForce(tree, lists);
+      if (anchors.empty()) continue;
+      for (XmlNodeId a = tree.parent(anchors[0]); a != xml::kNoXmlNode;
+           a = tree.parent(a)) {
+        anchors.push_back(a);
+      }
+      const std::string context = keywords[0] + " " + keywords[1];
+      const auto got_rank =
+          lca::RankXmlResults(tree, anchors, keywords, elem_rank);
+      const auto want_rank = LinearScanRank(tree, anchors, keywords, elem_rank);
+      ASSERT_EQ(got_rank.size(), want_rank.size()) << context;
+      for (size_t r = 0; r < got_rank.size(); ++r) {
+        EXPECT_EQ(got_rank[r].root, want_rank[r].root) << context;
+        EXPECT_EQ(got_rank[r].score, want_rank[r].score) << context;
+      }
+      const auto got = ClusterByContext(tree, anchors, keywords);
+      const auto want = LinearScanClusterByContext(tree, anchors, keywords);
+      ASSERT_EQ(got.size(), want.size()) << context;
+      for (size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(got[c].label, want[c].label) << context;
+        EXPECT_EQ(got[c].results, want[c].results) << context;
+        EXPECT_EQ(got[c].score, want[c].score) << context;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 10u);
+}
 
 TEST(ClusterSplitTest, SplitClusterByContextRespectsBound) {
   xml::BibDocument doc = xml::MakeBibDocument(

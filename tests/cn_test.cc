@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <numeric>
 #include <set>
 #include <string>
+#include <tuple>
+#include <unordered_set>
 #include <vector>
+
+#include "common/random.h"
 
 #include "core/cn/candidate_network.h"
 #include "core/cn/execute.h"
@@ -201,6 +207,315 @@ TEST(CnEnumTest, CanonicalKeyInvariantUnderRelabeling) {
   c.nodes[0].mask = 2;
   c.nodes[2].mask = 1;
   EXPECT_NE(a.CanonicalKey(), c.CanonicalKey());
+}
+
+// ------------------------------------------------- enumeration oracle
+
+/// The string-keyed breadth-first enumerator that integer shape codes and
+/// the free-leaf prune replaced, kept as the oracle: every candidate is
+/// deduplicated on `CanonicalKey()` and nothing is pruned. Its validity
+/// rule and one-node extensions also drive the prune-soundness check.
+class ReferenceEnumerator {
+ public:
+  ReferenceEnumerator(const Database& db, std::vector<KeywordMask> masks,
+                      KeywordMask full_mask)
+      : db_(db), masks_(std::move(masks)), full_mask_(full_mask) {}
+
+  /// Full coverage, and every leaf is a keyword node whose mask is needed.
+  bool IsValid(const CandidateNetwork& cn) const {
+    if (cn.Coverage() != full_mask_) return false;
+    std::vector<size_t> deg(cn.nodes.size(), 0);
+    for (const CnEdge& e : cn.edges) {
+      ++deg[e.from];
+      ++deg[e.to];
+    }
+    for (uint32_t i = 0; i < cn.nodes.size(); ++i) {
+      const bool leaf = (cn.nodes.size() == 1) || deg[i] == 1;
+      if (!leaf) continue;
+      if (cn.nodes[i].free()) return false;
+      KeywordMask others = 0;
+      for (uint32_t j = 0; j < cn.nodes.size(); ++j) {
+        if (j != i) others |= cn.nodes[j].mask;
+      }
+      if ((others | cn.nodes[i].mask) == others) return false;
+    }
+    return true;
+  }
+
+  /// Single keyword nodes, in seed order.
+  std::vector<CandidateNetwork> Seeds() const {
+    std::vector<CandidateNetwork> out;
+    for (relational::TableId t = 0; t < db_.num_tables(); ++t) {
+      for (KeywordMask m : Submasks(masks_[t] & full_mask_)) {
+        CandidateNetwork cn;
+        cn.nodes.push_back(CnNode{t, m});
+        out.push_back(std::move(cn));
+      }
+    }
+    return out;
+  }
+
+  /// Every one-node extension of `cn`, in expansion order.
+  std::vector<CandidateNetwork> Extensions(const CandidateNetwork& cn) const {
+    std::vector<CandidateNetwork> out;
+    for (uint32_t i = 0; i < cn.nodes.size(); ++i) {
+      for (const relational::SchemaEdge& se :
+           db_.SchemaNeighbors(cn.nodes[i].table)) {
+        if (se.forward && UsesFkAsReferencing(cn, i, se.fk)) continue;
+        std::vector<KeywordMask> masks = {0};
+        for (KeywordMask m : Submasks(masks_[se.other] & full_mask_)) {
+          masks.push_back(m);
+        }
+        for (KeywordMask m : masks) {
+          CandidateNetwork next = cn;
+          const uint32_t j = static_cast<uint32_t>(next.nodes.size());
+          next.nodes.push_back(CnNode{se.other, m});
+          next.edges.push_back(CnEdge{i, j, se.fk, se.forward});
+          out.push_back(std::move(next));
+        }
+      }
+    }
+    return out;
+  }
+
+  /// The enumeration itself. `explored`, when given, receives every
+  /// candidate enqueued, in BFS order.
+  std::vector<CandidateNetwork> Enumerate(
+      size_t max_size,
+      std::vector<CandidateNetwork>* explored = nullptr) const {
+    std::vector<CandidateNetwork> result;
+    if (full_mask_ == 0) return result;
+    std::unordered_set<std::string> seen;
+    std::unordered_set<std::string> emitted;
+    std::deque<CandidateNetwork> queue;
+    for (CandidateNetwork& cn : Seeds()) {
+      if (seen.insert(cn.CanonicalKey()).second) queue.push_back(cn);
+    }
+    while (!queue.empty()) {
+      CandidateNetwork cn = std::move(queue.front());
+      queue.pop_front();
+      if (explored != nullptr) explored->push_back(cn);
+      if (IsValid(cn)) {
+        if (emitted.insert(cn.CanonicalKey()).second) result.push_back(cn);
+      }
+      if (cn.size() >= max_size) continue;
+      for (CandidateNetwork& next : Extensions(cn)) {
+        if (seen.insert(next.CanonicalKey()).second) {
+          queue.push_back(std::move(next));
+        }
+      }
+    }
+    std::sort(result.begin(), result.end(),
+              [](const CandidateNetwork& a, const CandidateNetwork& b) {
+                if (a.size() != b.size()) return a.size() < b.size();
+                return a.CanonicalKey() < b.CanonicalKey();
+              });
+    return result;
+  }
+
+ private:
+  static std::vector<KeywordMask> Submasks(KeywordMask mask) {
+    std::vector<KeywordMask> out;
+    for (KeywordMask s = mask; s != 0; s = (s - 1) & mask) out.push_back(s);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  static bool UsesFkAsReferencing(const CandidateNetwork& cn, uint32_t node,
+                                  uint32_t fk) {
+    for (const CnEdge& e : cn.edges) {
+      const uint32_t referencing = e.forward ? e.from : e.to;
+      if (referencing == node && e.fk == fk) return true;
+    }
+    return false;
+  }
+
+  const Database& db_;
+  std::vector<KeywordMask> masks_;
+  KeywordMask full_mask_;
+};
+
+/// Every field of a CN, node and edge numbering included.
+std::string Render(const CandidateNetwork& cn) {
+  std::string out;
+  for (const CnNode& n : cn.nodes) {
+    out += std::to_string(n.table) + "/" + std::to_string(n.mask) + " ";
+  }
+  for (const CnEdge& e : cn.edges) {
+    out += std::to_string(e.from) + (e.forward ? ">" : "<") +
+           std::to_string(e.to) + ":" + std::to_string(e.fk) + " ";
+  }
+  return out;
+}
+
+std::vector<std::string> RenderAll(const std::vector<CandidateNetwork>& cns) {
+  std::vector<std::string> out;
+  for (const CandidateNetwork& cn : cns) out.push_back(Render(cn));
+  return out;
+}
+
+/// Each of `tables` gets each keyword with probability `p`, and a keyword
+/// no table drew goes to a random one of them, so full coverage is
+/// possible; the other tables get none.
+std::vector<KeywordMask> RandomMasks(
+    size_t num_tables, const std::vector<relational::TableId>& tables,
+    KeywordMask full, double p, Rng& rng) {
+  std::vector<KeywordMask> masks(num_tables, 0);
+  for (KeywordMask bit = 1; bit <= full; bit <<= 1) {
+    bool drawn = false;
+    for (relational::TableId t : tables) {
+      if (rng.Chance(p)) {
+        masks[t] |= bit;
+        drawn = true;
+      }
+    }
+    if (!drawn) masks[tables[rng.Uniform(tables.size())]] |= bit;
+  }
+  return masks;
+}
+
+relational::DblpDatabase OracleDblp() {
+  relational::DblpOptions opts;
+  opts.num_conferences = 4;
+  opts.num_authors = 12;
+  opts.num_papers = 16;
+  return relational::MakeDblpDatabase(opts);
+}
+
+/// (keywords, max_size)
+class EnumOracleTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(EnumOracleTest, SameCnsNodesEdgesAndOrderAsStringKeyedBfs) {
+  const auto [nk, max_size] = GetParam();
+  const relational::DblpDatabase dblp = OracleDblp();
+  const Database& db = *dblp.db;
+  const KeywordMask full = static_cast<KeywordMask>((1u << nk) - 1);
+  Rng rng(1000 * nk + max_size);
+  // The oracle's cost explodes with keywords and size. The smaller half
+  // of the grid runs the text tables at full masks (the E1 setting) and
+  // dense random masks over every table; the larger half gives each
+  // keyword to one random text table, as a query's terms usually land
+  // (writes and cite are key-only).
+  const bool small = nk + max_size <= 7;
+  std::vector<relational::TableId> tables = {dblp.author, dblp.paper,
+                                             dblp.conference};
+  std::vector<std::vector<KeywordMask>> trials;
+  if (small) {
+    trials.emplace_back(db.num_tables(), 0);
+    for (relational::TableId t : tables) trials.back()[t] = full;
+    tables.push_back(dblp.writes);
+    tables.push_back(dblp.cite);
+  }
+  for (int t = 0; t < 4; ++t) {
+    trials.push_back(
+        RandomMasks(db.num_tables(), tables, full, small ? 0.5 : 0.0, rng));
+  }
+  for (size_t t = 0; t < trials.size(); ++t) {
+    const std::vector<CandidateNetwork> want =
+        ReferenceEnumerator(db, trials[t], full).Enumerate(max_size);
+    const std::vector<CandidateNetwork> got = EnumerateCandidateNetworks(
+        db, trials[t], full, {.max_size = max_size});
+    EXPECT_EQ(RenderAll(got), RenderAll(want)) << "trial " << t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, EnumOracleTest,
+    ::testing::Combine(::testing::Range<size_t>(1, 5),
+                       ::testing::Range<size_t>(1, 7)));
+
+/// Random labeled trees over the DBLP schema's tables and FKs, with a
+/// shuffled node numbering.
+CandidateNetwork RandomTree(size_t n, size_t num_tables, size_t num_fks,
+                            Rng& rng) {
+  CandidateNetwork cn;
+  for (size_t i = 0; i < n; ++i) {
+    cn.nodes.push_back(CnNode{static_cast<relational::TableId>(
+                                  rng.Uniform(num_tables)),
+                              static_cast<KeywordMask>(rng.Uniform(4))});
+    if (i == 0) continue;
+    cn.edges.push_back(CnEdge{static_cast<uint32_t>(rng.Uniform(i)),
+                              static_cast<uint32_t>(i),
+                              static_cast<uint32_t>(rng.Uniform(num_fks)),
+                              rng.Chance(0.5)});
+  }
+  return cn;
+}
+
+TEST(CnShapeCoderTest, CodeEqualityIsCanonicalKeyEquality) {
+  // Few labels and small trees, so isomorphic pairs are common.
+  Rng rng(7);
+  CnShapeCoder coder;
+  std::vector<std::pair<uint32_t, std::string>> seen;
+  size_t equal_pairs = 0;
+  for (int i = 0; i < 400; ++i) {
+    const CandidateNetwork cn =
+        RandomTree(1 + rng.Uniform(6), 2, 2, rng);
+    const uint32_t code = coder.Code(cn);
+    const std::string key = cn.CanonicalKey();
+    for (const auto& [other_code, other_key] : seen) {
+      EXPECT_EQ(code == other_code, key == other_key) << Render(cn);
+      equal_pairs += key == other_key ? 1 : 0;
+    }
+    seen.emplace_back(code, key);
+    // Renumbering the nodes leaves the code alone.
+    CandidateNetwork shuffled = cn;
+    std::vector<uint32_t> perm(cn.size());
+    std::iota(perm.begin(), perm.end(), 0u);
+    rng.Shuffle(perm);
+    for (size_t v = 0; v < cn.size(); ++v) shuffled.nodes[perm[v]] = cn.nodes[v];
+    for (CnEdge& e : shuffled.edges) {
+      e.from = perm[e.from];
+      e.to = perm[e.to];
+    }
+    EXPECT_EQ(coder.Code(shuffled), code) << Render(cn);
+    EXPECT_EQ(shuffled.CanonicalKey(), key) << Render(cn);
+  }
+  EXPECT_GT(equal_pairs, 0u) << "no isomorphic pair drawn; the check is void";
+}
+
+TEST(CnEnumTest, PrunedCandidatesHaveNoValidExtension) {
+  // The prune drops a candidate once size + free leaves > max_size.
+  // Explore without pruning and extend every such candidate exhaustively
+  // up to max_size: none of its extensions may be valid.
+  const relational::DblpDatabase dblp = OracleDblp();
+  const Database& db = *dblp.db;
+  const size_t max_size = 5;
+  std::vector<KeywordMask> masks(db.num_tables(), 0);
+  masks[dblp.author] = masks[dblp.paper] = 3;
+  const ReferenceEnumerator ref(db, masks, 3);
+  std::vector<CandidateNetwork> explored;
+  ref.Enumerate(max_size, &explored);
+  const auto free_leaves = [](const CandidateNetwork& cn) {
+    std::vector<size_t> deg(cn.nodes.size(), 0);
+    for (const CnEdge& e : cn.edges) {
+      ++deg[e.from];
+      ++deg[e.to];
+    }
+    size_t n = 0;
+    for (size_t i = 0; i < cn.nodes.size(); ++i) {
+      if (cn.nodes[i].free() && (cn.size() == 1 || deg[i] == 1)) ++n;
+    }
+    return n;
+  };
+  size_t pruned = 0;
+  for (const CandidateNetwork& cn : explored) {
+    if (cn.size() + free_leaves(cn) <= max_size) continue;
+    ++pruned;
+    std::vector<CandidateNetwork> frontier = {cn};
+    while (!frontier.empty()) {
+      const CandidateNetwork x = std::move(frontier.back());
+      frontier.pop_back();
+      ASSERT_FALSE(ref.IsValid(x))
+          << Render(x) << " extends pruned " << Render(cn);
+      if (x.size() >= max_size) continue;
+      for (CandidateNetwork& next : ref.Extensions(x)) {
+        frontier.push_back(std::move(next));
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 TEST(ExecuteCnTest, JoinsExpectedTuples) {

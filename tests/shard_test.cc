@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/deadline.h"
@@ -239,6 +240,48 @@ TEST(ShardedEngineTest, CountersAccumulateAcrossQueries) {
   EXPECT_EQ(engine.metrics().GetCounter("shard.fanout")->value() +
                 engine.metrics().GetCounter("shard.pruned")->value(),
             6u);
+}
+
+TEST(ShardedEngineTest, ConcurrentFirstSightKeywordsMatchSerial) {
+  // Run by ci.sh under TSan. Shard selection indexes a keyword's
+  // distances the first time it is seen, so concurrent searches on a
+  // fresh engine race to index the same new keywords; every answer must
+  // still equal the serial one.
+  const ShardedCorpus corpus = MakeShardedDblp(SmallDblp(17), 4);
+  const std::vector<std::string> queries = {
+      "keyword search", "database query", "hristidis papakonstantinou",
+      "xml", "query search", "data keyword"};
+  std::vector<ShardedResponse> want;
+  {
+    const ShardedEngine serial(corpus);
+    for (const std::string& q : queries) want.push_back(serial.Search(q));
+  }
+  const ShardedEngine engine(corpus);
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<ShardedResponse>> got(kThreads);
+  std::vector<std::thread> threads;  // kwslint: allow(raw-thread) TSan fixture
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Every thread starts on a different query and soon meets the
+      // others' keywords too.
+      got[t].resize(queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const size_t q = (i + t) % queries.size();
+        got[t][q] = engine.Search(queries[q]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string context =
+          queries[q] + " / thread " + std::to_string(t);
+      EXPECT_TRUE(got[t][q].status.ok()) << context;
+      EXPECT_EQ(got[t][q].stats.shard_pruned, want[q].stats.shard_pruned)
+          << context;
+      ExpectSameResults(got[t][q].results, want[q].results, context);
+    }
+  }
 }
 
 // -------------------------------------------------------- trace structure

@@ -80,6 +80,36 @@ TEST(XmlTreeTest, KeywordIndexDocumentOrder) {
   EXPECT_TRUE(std::is_sorted(vocab.begin(), vocab.end()));
 }
 
+TEST(XmlTreeTest, MatchesInSubtreeIsTheFilteredMatchList) {
+  const BibDocument doc =
+      MakeBibDocument({.seed = 5, .num_venues = 6, .papers_per_venue = 5});
+  const XmlTree& tree = doc.tree;
+  std::vector<std::string> terms(doc.vocabulary.begin(),
+                                 doc.vocabulary.begin() + 8);
+  terms.push_back("no-such-term");
+  for (const std::string& term : terms) {
+    for (XmlNodeId n = 0; n < tree.size(); ++n) {
+      std::vector<XmlNodeId> want;
+      for (XmlNodeId m : tree.MatchNodes(term)) {
+        if (m >= n && m <= tree.SubtreeEnd(n)) want.push_back(m);
+      }
+      const auto got = tree.MatchesInSubtree(term, n);
+      EXPECT_EQ(std::vector<XmlNodeId>(got.begin(), got.end()), want)
+          << term << " under #" << n;
+    }
+  }
+}
+
+TEST(XmlTreeTest, AverageDepthIsTheMeanOfNodeDepths) {
+  const BibDocument doc =
+      MakeBibDocument({.seed = 5, .num_venues = 6, .papers_per_venue = 5});
+  double sum = 0;
+  for (XmlNodeId n = 0; n < doc.tree.size(); ++n) sum += doc.tree.depth(n);
+  EXPECT_EQ(doc.tree.AverageDepth(),
+            sum / static_cast<double>(doc.tree.size()));
+  EXPECT_EQ(XmlTree().AverageDepth(), 0.0);
+}
+
 TEST(XmlTreeTest, SerializeRoundTripThroughParser) {
   XmlTree t = SmallTree();
   const std::string serialized = t.ToXmlString(0);
